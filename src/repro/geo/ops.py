@@ -1,15 +1,15 @@
-"""Shared geo wiring for the flat and sharded clusters.
+"""Geo wiring for the cluster.
 
-Both :class:`repro.harness.cluster.RobustStoreCluster` and
-:class:`repro.shard.cluster.ShardedCluster` need the same bookkeeping:
-assign every node a DC, hand the switch a delay model, and translate
-DC-scoped faults (``dcfail``, ``wanpart``, ``wandegrade``) into the
-crash/partition primitives they already have.  :class:`GeoState` owns
-that bookkeeping; the clusters keep only thin methods over it.
+:class:`repro.harness.cluster.RobustStoreCluster` needs some
+bookkeeping to stretch across datacenters: assign every node a DC, hand
+the switch a delay model, and translate DC-scoped faults (``dcfail``,
+``wanpart``, ``wandegrade``) into the crash/partition primitives it
+already has.  :class:`GeoState` owns that bookkeeping; the cluster keeps
+only thin methods over it.
 
-Replica *targets* are whatever the owning cluster's fault API takes --
-plain indexes for the flat cluster, ``(shard, index)`` pairs for the
-sharded one -- so the state never needs to know which cluster built it.
+Replica *targets* are whatever the cluster's fault API takes -- plain
+indexes for a single replica group, ``(shard, index)`` pairs for a
+sharded deployment -- so the state never needs to know which it serves.
 """
 
 from __future__ import annotations

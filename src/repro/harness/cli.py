@@ -53,6 +53,7 @@ from repro.harness.config import (
     tiny_scale,
 )
 from repro.harness.experiment import Experiment
+from repro.harness.experiments import ExperimentInputError
 from repro.harness.report import format_series, format_table
 from repro.obs.trace import RECOVERY_PHASES
 
@@ -500,6 +501,16 @@ def _build_experiment(args) -> Experiment:
     return experiment
 
 
+def _run_checked(experiment: Experiment):
+    """Run ``experiment``; input it rejects before the first simulated
+    event prints ``error: ...`` and yields None (exit 2, no traceback)."""
+    try:
+        return experiment.run()
+    except ExperimentInputError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 # ======================================================================
 # run
 # ======================================================================
@@ -531,7 +542,9 @@ def _cmd_run(args) -> int:
     print(f"running {label} | {config.replicas} replicas | "
           f"{config.profile} | {load_desc} | scale={scale.name}",
           flush=True)
-    result = experiment.run()
+    result = _run_checked(experiment)
+    if result is None:
+        return 2
 
     whole = result.whole_window()
     rows = [["AWIPS (measurement interval)", f"{whole.awips:.1f}"],
@@ -726,7 +739,9 @@ def _cmd_trace(args) -> int:
     print(f"tracing {label} | {config.replicas} replicas | "
           f"{config.profile} | {load_desc} | scale={scale.name}",
           flush=True)
-    result = experiment.run()
+    result = _run_checked(experiment)
+    if result is None:
+        return 2
     tracer = result.spans
     print(f"{len(tracer.spans)} spans, {len(tracer.marks)} marks"
           + (f" ({tracer.dropped} dropped)" if tracer.dropped else ""))
@@ -898,7 +913,9 @@ def _cmd_postmortem(args) -> int:
     print(f"post-mortem of {label} | {config.replicas} replicas | "
           f"{config.profile} | slo '{config.slo_spec}' | "
           f"scale={scale.name}", flush=True)
-    result = experiment.run()
+    result = _run_checked(experiment)
+    if result is None:
+        return 2
     report = result.incident_report()
     markdown = render_markdown(report)
     print()

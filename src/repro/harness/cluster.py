@@ -10,11 +10,10 @@ Three disjoint node sets on one simulated switch:
 Plus the out-of-band pieces: one watchdog per replica (auto-restart) and
 the recovery-event log the dependability analysis reads.
 
-The replica tier lives in :class:`ReplicaGroup` so one deployment can
-host several independent consensus groups: the unsharded cluster below
-builds exactly one group (node names, seed forks, and boot order are
-unchanged), while :class:`repro.shard.cluster.ShardedCluster` builds one
-group per shard with a ``s{g}.`` name prefix and a shard-scoped seed.
+The replica tier lives in :class:`ReplicaGroup`, and the cluster builds
+``config.shards`` of them.  One group is the paper's deployment; with
+more, each group is a shard (:mod:`repro.shard`) with an ``s{g}.`` node
+name prefix and a shard-scoped seed, fronted by the shard router.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 import pickle
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.faults.checker import SafetyChecker
 from repro.faults.faultload import (NEMESIS_KINDS, ONEWAY_KIND,
@@ -56,6 +55,10 @@ from repro.tpcw.workload import profile_by_name
 from repro.treplica import TreplicaRuntime
 from repro.web.proxy import ReverseProxy
 from repro.web.server import ApplicationServer
+
+#: A fault target: a replica index (shard 0 when sharded) or a
+#: ``(shard, replica)`` pair.
+Target = Union[int, Tuple[int, int]]
 
 
 class ReplicaGroup:
@@ -236,9 +239,20 @@ class ReplicaGroup:
 
 
 class RobustStoreCluster:
-    """One complete deployment, ready for an experiment run."""
+    """One complete deployment over ``config.shards`` replica groups,
+    ready for an experiment run.
+
+    With one group this is the paper's Figure 2.  With ``k > 1`` the
+    groups are shards (:mod:`repro.shard`) behind a shard-aware router,
+    and fault targets become ``(shard, replica)`` pairs; a plain index
+    still means shard 0.  Everything that differs by ``k`` is decided in
+    the constructor; every other method is written once over
+    :attr:`groups`.
+    """
 
     def __init__(self, config: ClusterConfig):
+        if config.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {config.shards}")
         self.config = config
         self.sim = Simulator()
         self.seed = SeedTree(config.seed)
@@ -276,9 +290,10 @@ class RobustStoreCluster:
             self.sim.recorder = self.recorder
         self.network = Network(self.sim, NetworkParams(), seed=self.seed,
                                nemesis=Nemesis(self.sim, seed=self.seed))
-        # Created lazily by the first storage fault (apply_storage_fault):
-        # with none configured, no disk ever consults a nemesis and runs
-        # are bit-for-bit identical to a storage-fault-free build.
+        # Created lazily by the first storage fault (apply_storage_fault)
+        # and shared by every group: with none configured, no disk ever
+        # consults a nemesis and runs are bit-for-bit identical to a
+        # storage-fault-free build.
         self.storage_nemesis: Optional[StorageNemesis] = None
         self.profile = profile_by_name(config.profile)
         self.collector = MetricsCollector()
@@ -293,40 +308,59 @@ class RobustStoreCluster:
         self._population_blob = pickle.dumps(populate(self.population_params))
         self._size_multiplier = (self.population_params.size_multiplier
                                  / scale.time_div)
+        # What differs by shard count is decided here; one group is the
+        # paper's deployment.  Imported lazily: that deployment never
+        # loads the shard package.
+        shards = None
+        if config.shards > 1:
+            from repro.shard.cluster import ShardWiring
+            shards = ShardWiring(self)
 
-        # --- nodes -----------------------------------------------------
-        self.group = ReplicaGroup(self.sim, self.network, config, self.seed,
-                                  self._population_blob,
-                                  self._size_multiplier)
-        self.replica_nodes = self.group.replica_nodes
-        self.replica_names = self.group.replica_names
+        # --- nodes: every group's replicas, then proxy, then clients ----
+        self.recoveries: List[Dict[str, float]] = []
+        self.groups: List[ReplicaGroup] = [
+            ReplicaGroup(self.sim, self.network, config,
+                         self.seed.fork(f"shard{g}") if shards else self.seed,
+                         self._population_blob, self._size_multiplier,
+                         name_prefix=f"s{g}." if shards else "",
+                         shard=g if shards else None,
+                         database_factory=(shards.make_database if shards
+                                           else None),
+                         recoveries=self.recoveries)
+            for g in range(config.shards)]
+        self.group_names: List[List[str]] = [group.replica_names
+                                             for group in self.groups]
+        self.replica_nodes: List[Node] = [node for group in self.groups
+                                          for node in group.replica_nodes]
         self.proxy_node = Node(self.sim, self.network, "proxy",
                                cpu_speed=1.0 / scale.load_div)
         self.client_nodes: List[Node] = [
             Node(self.sim, self.network, f"client{i}")
             for i in range(config.client_nodes)]
 
-        # --- replica software ------------------------------------------
-        # (shared list objects: the group mutates them in place)
-        self.runtimes = self.group.runtimes
-        self.servers = self.group.servers
-        self.recoveries = self.group.recoveries
-        self.group.boot_all()
+        # --- replica software (all groups exist first: 2PC coordinators
+        # see every group's member list) ----------------------------------
+        for group in self.groups:
+            group.boot_all()
 
-        # --- proxy -------------------------------------------------------
-        self.proxy = ReverseProxy(self.proxy_node, self.replica_names,
-                                  config.proxy_params())
+        # --- proxy (the shard router when sharded) ----------------------
+        self.proxy = (shards.make_router() if shards else
+                      ReverseProxy(self.proxy_node, self.group_names[0],
+                                   config.proxy_params()))
         self.proxy.start()
 
         # --- geo-replication (repro.geo) --------------------------------
         # Node-to-DC assignment + the per-link delay model, attached
         # before the simulation's first event; the proxy starts
         # attributing completed interactions to the serving replica's DC.
+        # Every group gets the same placement: shard g's replica i sits
+        # in the same DC as shard h's replica i.
         self.geo_state: Optional[GeoState] = None
         if config.geo is not None:
             self.geo_state = GeoState(
                 config.geo,
-                [list(zip(range(config.replicas), self.replica_names))],
+                [[(self._target(g, i), name) for i, name in enumerate(names)]
+                 for g, names in enumerate(self.group_names)],
                 [self.proxy_node.name]
                 + [node.name for node in self.client_nodes])
             self.network.set_geo(self.geo_state.model)
@@ -337,9 +371,9 @@ class RobustStoreCluster:
                 self.recorder.record("geo.placement", None,
                                      **self.geo_state.replica_dc_of)
 
-        # --- watchdogs ---------------------------------------------------
-        self.group.start_watchdogs()
-        self.watchdogs = self.group.watchdogs
+        # --- watchdogs (per group) ---------------------------------------
+        for group in self.groups:
+            group.start_watchdogs()
 
         # --- load tier (closed-loop RBE fleet or open-loop arrivals) ----
         self.rbes: List[RemoteBrowserEmulator]
@@ -386,21 +420,25 @@ class RobustStoreCluster:
                               for node in self.replica_nodes))
         obs.gauge("paxos.live_replicas",
                   lambda: float(len(self.live_replicas())))
-        obs.gauge("treplica.queue_depth", self._max_apply_backlog)
+        obs.gauge("treplica.queue_depth",
+                  lambda: max(group.max_apply_backlog()
+                              for group in self.groups))
+        if len(self.groups) > 1:
+            for g, group in enumerate(self.groups):
+                obs.gauge(f"shard.s{g}.live_replicas",
+                          lambda grp=group: float(len(grp.live_replicas())))
+                obs.gauge(f"shard.s{g}.queue_depth",
+                          lambda grp=group: grp.max_apply_backlog())
         if self.geo_state is not None:
             model = self.geo_state.model
             obs.gauge("sim.net_wan_messages",
                       lambda: float(model.wan_messages))
             obs.gauge("sim.net_wan_mb", lambda: model.wan_mb)
             for dc in self.geo_state.geo.topology.dcs:
-                indexes = tuple(self.geo_state.replica_targets(dc))
+                targets = tuple(self.geo_state.replica_targets(dc))
                 obs.gauge(f"geo.{dc}.live_replicas",
-                          lambda idx=indexes: float(sum(
-                              1 for i in idx
-                              if self.replica_nodes[i].alive)))
-
-    def _max_apply_backlog(self) -> float:
-        return self.group.max_apply_backlog()
+                          lambda tgts=targets: float(sum(
+                              1 for t in tgts if self._node(t).alive)))
 
     @property
     def timeline(self):
@@ -412,13 +450,6 @@ class RobustStoreCluster:
         timeline seconds, compressed like every other fault time)."""
         scale = self.config.scale
         for event in Faultload.parse(spec, name="config-nemesis").events:
-            for index in (event.replica, event.dst):
-                if index is not None and not (
-                        0 <= index < len(self.replica_nodes)):
-                    raise ValueError(
-                        f"nemesis spec targets replica {index} but the "
-                        f"deployment has replicas 0.."
-                        f"{len(self.replica_nodes) - 1}: {spec!r}")
             scaled = replace(
                 event, at=scale.t(event.at),
                 until=None if event.until is None else scale.t(event.until))
@@ -428,10 +459,10 @@ class RobustStoreCluster:
                 self.apply_storage_fault(scaled)
             elif scaled.kind == ONEWAY_KIND:
                 self.sim.call_at(scaled.at, self.block_oneway,
-                                 scaled.replica, scaled.dst)
+                                 scaled.src_target, scaled.dst_target)
                 if scaled.until is not None and not math.isinf(scaled.until):
                     self.sim.call_at(scaled.until, self.unblock_oneway,
-                                     scaled.replica, scaled.dst)
+                                     scaled.src_target, scaled.dst_target)
             else:
                 raise ValueError(
                     f"nemesis_spec only takes message and storage faults "
@@ -441,30 +472,68 @@ class RobustStoreCluster:
     # ------------------------------------------------------------------
     # fault-injection interface
     # ------------------------------------------------------------------
-    def live_replicas(self) -> List[int]:
-        return self.group.live_replicas()
+    def _target(self, shard: int, index: int) -> Target:
+        """The fault target of one replica: its index in the paper's
+        single-group deployment, ``(shard, index)`` when sharded."""
+        return index if len(self.groups) == 1 else (shard, index)
 
-    def crash_replica(self, index: int) -> None:
-        self.group.crash_replica(index)
+    def _resolve(self, target: Target) -> Tuple[ReplicaGroup, int]:
+        """The group and group-local index a fault target names."""
+        shard, index = target if isinstance(target, tuple) else (0, target)
+        if not 0 <= shard < len(self.groups):
+            raise ValueError(f"no such shard: {shard}")
+        group = self.groups[shard]
+        if not 0 <= index < len(group.replica_nodes):
+            raise ValueError(
+                f"shard {shard} has replicas 0.."
+                f"{len(group.replica_nodes) - 1}, no replica {index}")
+        return group, index
 
-    def reboot_replica(self, index: int) -> None:
-        self.group.reboot_replica(index)
+    def _node(self, target: Target) -> Node:
+        group, index = self._resolve(target)
+        return group.replica_nodes[index]
 
-    def partition_replica(self, index: int) -> None:
-        self.group.partition_replica(index)
+    def live_replicas(self) -> List[Target]:
+        return [self._target(g, i) for g, group in enumerate(self.groups)
+                for i in group.live_replicas()]
 
-    def heal_replica(self, index: int) -> None:
-        self.group.heal_replica(index)
+    def crash_replica(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.crash_replica(index)
 
-    def block_oneway(self, src: int, dst: int) -> None:
+    def reboot_replica(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.reboot_replica(index)
+
+    def partition_replica(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.partition_replica(index)
+
+    def heal_replica(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.heal_replica(index)
+
+    def disable_watchdog(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.disable_watchdog(index)
+
+    def begin_slowdown(self, factor: float) -> None:
+        """Retrystorm trigger: every replica of every group slows down."""
+        for group in self.groups:
+            group.begin_slowdown(factor)
+
+    def end_slowdown(self) -> None:
+        for group in self.groups:
+            group.end_slowdown()
+
+    def block_oneway(self, src: Target, dst: Target) -> None:
         """Asymmetric cut: replica ``src`` can no longer reach ``dst``
         (the reverse direction keeps working)."""
-        self.network.block_oneway(self.replica_names[src],
-                                  self.replica_names[dst])
+        self.network.block_oneway(self._node(src).name, self._node(dst).name)
 
-    def unblock_oneway(self, src: int, dst: int) -> None:
-        self.network.unblock_oneway(self.replica_names[src],
-                                    self.replica_names[dst])
+    def unblock_oneway(self, src: Target, dst: Target) -> None:
+        self.network.unblock_oneway(self._node(src).name,
+                                    self._node(dst).name)
 
     def apply_nemesis(self, event: FaultEvent) -> None:
         """Install one windowed message-fault event (times already on the
@@ -482,8 +551,8 @@ class RobustStoreCluster:
             raise ValueError(f"not a nemesis window kind: {event.kind!r}")
         pairs = None
         if event.replica is not None:
-            pairs = frozenset({(self.replica_names[event.replica],
-                                self.replica_names[event.dst])})
+            pairs = frozenset({(self._node(event.src_target).name,
+                                self._node(event.dst_target).name)})
         end = event.until if event.until is not None else math.inf
         self.network.nemesis.add_window(
             NemesisWindow(event.at, end, params, pairs))
@@ -491,7 +560,8 @@ class RobustStoreCluster:
     def _ensure_storage_nemesis(self) -> StorageNemesis:
         if self.storage_nemesis is None:
             self.storage_nemesis = StorageNemesis(self.sim, seed=self.seed)
-            self.group.attach_storage_nemesis(self.storage_nemesis)
+            for group in self.groups:
+                group.attach_storage_nemesis(self.storage_nemesis)
             # The engine's accept audit trail (and nothing else) keys off
             # this attribute; see PaxosEngine._vote.
             self.sim.storage_faults = self.storage_nemesis
@@ -501,7 +571,7 @@ class RobustStoreCluster:
         """Install one storage-fault event (times already on the
         compressed timeline) on the deployment's storage nemesis."""
         nemesis = self._ensure_storage_nemesis()
-        disk_name = self.replica_nodes[event.replica].disk.name
+        disk_name = self._node(event.src_target).disk.name
         if event.kind == "corrupt":
             nemesis.schedule_corruption(event.at, disk_name)
             return
@@ -510,15 +580,6 @@ class RobustStoreCluster:
             end=event.until if event.until is not None else math.inf,
             p=event.p if event.p is not None else 1.0,
             slow_factor=event.factor if event.factor is not None else 4.0))
-
-    def disable_watchdog(self, index: int) -> None:
-        self.group.disable_watchdog(index)
-
-    def begin_slowdown(self, factor: float) -> None:
-        self.group.begin_slowdown(factor)
-
-    def end_slowdown(self) -> None:
-        self.group.end_slowdown()
 
     # ------------------------------------------------------------------
     # DC-scoped faults (geo runs only)
@@ -531,22 +592,24 @@ class RobustStoreCluster:
         return self.geo_state
 
     def fail_dc(self, dc: str) -> int:
-        """Full DC outage: crash every replica housed in ``dc``, with
-        watchdogs disabled so nothing restarts while the power is out.
-        Returns the number of replicas actually taken down."""
+        """Full DC outage: crash every replica housed in ``dc`` (in every
+        group), with watchdogs disabled so nothing restarts while the
+        power is out.  Returns the number of replicas actually taken
+        down."""
         crashed = 0
-        for index in self._geo().replica_targets(dc):
-            self.disable_watchdog(index)
-            if self.replica_nodes[index].alive:
-                self.crash_replica(index)
+        for target in self._geo().replica_targets(dc):
+            self.disable_watchdog(target)
+            if self._node(target).alive:
+                self.crash_replica(target)
                 crashed += 1
         return crashed
 
     def restore_dc(self, dc: str) -> None:
         """Power restored: re-enable the DC's watchdogs, which revive
         the crashed servers on their own (autonomous recovery)."""
-        for index in self._geo().replica_targets(dc):
-            self.watchdogs[index].enabled = self.config.watchdog_enabled
+        for target in self._geo().replica_targets(dc):
+            group, index = self._resolve(target)
+            group.watchdogs[index].enabled = self.config.watchdog_enabled
 
     def wan_partition(self, dc: str, peer_dcs) -> None:
         """Sever every node pair between ``dc`` and ``peer_dcs`` (both
@@ -583,12 +646,14 @@ class RobustStoreCluster:
         return dict(self.storage_nemesis.counters)
 
     def breaker_trips(self) -> int:
-        """Watchdogs that gave up on a crash-looping replica.
+        """Watchdogs (across every group) that gave up on a crash-looping
+        replica.
 
         Each trip means a human would have to intervene, so the harness
         counts it against autonomy alongside manual reboots.
         """
-        return sum(1 for watchdog in self.watchdogs if watchdog.tripped)
+        return sum(1 for group in self.groups
+                   for watchdog in group.watchdogs if watchdog.tripped)
 
     def safety_checker(self) -> SafetyChecker:
         tracer = getattr(self.sim, "tracer", None)

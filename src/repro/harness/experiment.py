@@ -37,7 +37,8 @@ from repro.faults.faultload import (
     Faultload,
 )
 from repro.harness.config import ClusterConfig
-from repro.harness.experiments import ExperimentResult, _execute
+from repro.harness.experiments import (ExperimentInputError, ExperimentResult,
+                                       _execute)
 
 #: Load-model fields that should flow through :meth:`Experiment.load`.
 _LOAD_FIELDS = frozenset({"offered_wips", "think_time_s", "profile",
@@ -388,7 +389,7 @@ class Experiment:
         faultload, setup = self._resolve_faultload(config)
         if faultload.geo_events() and config.geo is None:
             kinds = sorted({e.kind for e in faultload.geo_events()})
-            raise ValueError(
+            raise ExperimentInputError(
                 f"faultload uses DC-scoped kinds ({', '.join(kinds)}) but "
                 f"no geo topology is configured; chain .geo(dcs=(...)) "
                 f"or pass --geo")

@@ -41,6 +41,12 @@ from repro.obs.timeline import Timeline
 from repro.obs.trace import SpanTracer
 
 
+class ExperimentInputError(ValueError):
+    """The experiment's input was rejected before its first simulated
+    event (a fault target the deployment cannot resolve, a DC-scoped
+    fault without a geo topology)."""
+
+
 class MissingWindowError(ValueError):
     """A result window was requested that this run never produced."""
 
@@ -311,8 +317,9 @@ class ExperimentResult:
 # the engine room every run goes through
 # ======================================================================
 def _check_shard_targets(config: ClusterConfig, faultload: Faultload) -> None:
-    """Reject shard-qualified fault targets that the deployment cannot
-    resolve, with a message that names the offending event."""
+    """Reject fault targets -- shards and replica indexes -- that the
+    deployment cannot resolve, with a message that names the offending
+    event."""
     # Faultload events reach the engine scaled; the nemesis spec is still
     # raw text.  Pair each event with the factor that recovers the
     # paper-timeline seconds the user wrote, for the error messages.
@@ -323,32 +330,32 @@ def _check_shard_targets(config: ClusterConfig, faultload: Faultload) -> None:
                                                name="config-nemesis").events]
     for event, time_mult in specs:
         at = event.at * time_mult
-        for shard in (event.shard, event.dst_shard):
-            if shard is None:
-                continue
-            if config.shards <= 1:
-                raise ValueError(
+        for shard, replica in ((event.shard, event.replica),
+                               (event.dst_shard, event.dst)):
+            if shard is not None and config.shards <= 1:
+                raise ExperimentInputError(
                     f"fault event {event.kind}@{at:g} targets shard "
                     f"{shard}, but this is an unsharded deployment; add "
                     f".shards(k) / --shards k or drop the shard qualifier")
-            if shard >= config.shards:
-                raise ValueError(
+            if shard is not None and shard >= config.shards:
+                raise ExperimentInputError(
                     f"fault event {event.kind}@{at:g} targets shard "
                     f"{shard}, but the deployment only has "
                     f"{config.shards} shards (0..{config.shards - 1})")
+            if replica is not None and replica >= config.replicas:
+                label = replica if shard is None else f"{shard}.{replica}"
+                where = ("each shard has" if config.shards > 1
+                         else "the deployment has")
+                raise ExperimentInputError(
+                    f"fault event {event.kind}@{at:g} targets replica "
+                    f"{label}, but {where} replicas "
+                    f"0..{config.replicas - 1}")
 
 
 def _execute(config: ClusterConfig, faultload: Faultload,
              setup=None) -> ExperimentResult:
     _check_shard_targets(config, faultload)
-    if config.shards > 1:
-        # Imported lazily: the unsharded path must not even load the
-        # shard package (parity: .shards(1) is bit-for-bit the paper's
-        # single-group deployment).
-        from repro.shard.cluster import ShardedCluster
-        cluster = ShardedCluster(config)
-    else:
-        cluster = RobustStoreCluster(config)
+    cluster = RobustStoreCluster(config)
     if setup is not None:
         setup(cluster)
     injector = FaultInjector(cluster.sim, cluster, faultload,

@@ -1,12 +1,13 @@
-"""The partitioned RobustStore deployment: k independent groups, one
-router, shared clients.
+"""What a partitioned deployment adds to the paper's.
 
-Layout (generalizing Figure 2 of the paper):
+:class:`~repro.harness.cluster.RobustStoreCluster` builds one
+:class:`~repro.harness.cluster.ReplicaGroup` per shard (generalizing
+Figure 2 of the paper):
 
 * ``s<g>.replica0..n`` -- shard ``g``'s replica tier: a full
-  Paxos+Treplica :class:`~repro.harness.cluster.ReplicaGroup`, booted
-  from the same cloned population as every other group but *owning* only
-  its key ranges (:class:`~repro.shard.partition.Partitioner`);
+  Paxos+Treplica group, booted from the same cloned population as every
+  other group but *owning* only its key ranges
+  (:class:`~repro.shard.partition.Partitioner`);
 * ``proxy`` -- one :class:`~repro.shard.router.ShardRouter` mapping each
   interaction to its home shard and balancing inside that group only;
 * ``client0..m`` -- the unchanged RBE fleet.
@@ -17,477 +18,53 @@ and a crash in one group never stalls the others' pipelines -- that
 independence is exactly the scaling argument the shard benchmarks
 measure.
 
-Fault targets are shard-qualified: every fault-injection method accepts
-either a plain replica index (shard 0, matching the unsharded cluster's
-interface) or a ``(shard, replica)`` pair, which is what the faultload
-grammar's ``crash@240:1.2`` produces.
+:class:`ShardWiring` holds the pieces only a sharded deployment has: the
+partitioner, the 2PC endpoints and shard-aware facade of every replica,
+and the router.
 """
 
 from __future__ import annotations
 
-import math
-import pickle
-from dataclasses import replace
-from typing import List, Optional, Tuple, Union
-
-from repro.faults.checker import SafetyChecker
-from repro.faults.faultload import (
-    NEMESIS_KINDS,
-    ONEWAY_KIND,
-    STORAGE_KINDS,
-    FaultEvent,
-    Faultload,
-)
-from repro.faults.metrics import MetricsCollector, NemesisStats
-from repro.geo import DegradeWindow, GeoState
-from repro.harness.cluster import ReplicaGroup
-from repro.harness.config import ClusterConfig
-from repro.load import build_load
-from repro.obs import (FlightRecorder, KernelProfiler, MetricsRegistry,
-                       SloEngine, SpanTracer, TimelineSampler)
 from repro.shard.database import ShardedTPCWDatabase
 from repro.shard.partition import Partitioner
 from repro.shard.router import ShardRouter
 from repro.shard.txn import TxnCoordinator, TxnParticipant
-from repro.sim import (
-    Nemesis,
-    NemesisParams,
-    NemesisWindow,
-    Network,
-    NetworkParams,
-    Node,
-    SeedTree,
-    Simulator,
-    StorageFault,
-    StorageNemesis,
-)
-from repro.sim.trace import Tracer
-from repro.tpcw.population import PopulationParams, populate
-from repro.tpcw.rbe import RemoteBrowserEmulator
-from repro.tpcw.workload import profile_by_name
-
-#: A fault target: plain replica index (meaning shard 0) or
-#: ``(shard, replica)``.
-Target = Union[int, Tuple[int, int]]
+# Not called here: perfbench's traced sharded run patches this name.
+from repro.tpcw.population import populate  # noqa: F401
 
 
-class ShardedCluster:
-    """One partitioned deployment, ready for an experiment run."""
+class ShardWiring:
+    """The k > 1 parts of one :class:`RobustStoreCluster`."""
 
-    def __init__(self, config: ClusterConfig):
-        if config.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {config.shards}")
-        self.config = config
-        self.sim = Simulator()
-        self.seed = SeedTree(config.seed)
-        if config.safety_tracing:
-            self.sim.tracer = Tracer(
-                self.sim, categories=list(SafetyChecker.CATEGORIES)
-                + ["nemesis", "node"])
-        self.metrics: Optional[MetricsRegistry] = None
-        self.profiler: Optional[KernelProfiler] = None
-        self.sampler: Optional[TimelineSampler] = None
-        if config.observability:
-            self.metrics = MetricsRegistry()
-            self.sim.metrics = self.metrics
-            self.profiler = KernelProfiler()
-            self.sim.profiler = self.profiler
-            self.sampler = TimelineSampler(
-                self.sim, self.metrics,
-                config.scale.t(config.obs_tick_s))
-        self.span_tracer: Optional[SpanTracer] = None
-        if config.span_tracing:
-            self.span_tracer = SpanTracer(self.sim)
-            self.sim.spans = self.span_tracer
-        # Flight recorder: attached before components, like sim.spans
-        # (sites capture recorder_of(sim) at construction time).
-        self.recorder: Optional[FlightRecorder] = None
-        if config.recording_enabled:
-            self.recorder = FlightRecorder(
-                self.sim, capacity=config.recorder_capacity)
-            self.sim.recorder = self.recorder
-        self.network = Network(self.sim, NetworkParams(), seed=self.seed,
-                               nemesis=Nemesis(self.sim, seed=self.seed))
-        # Created lazily by the first storage fault (apply_storage_fault);
-        # shared by every group so the audit counters are deployment-wide.
-        # Storage-fault-free runs never construct it: bit-for-bit parity.
-        self.storage_nemesis: Optional[StorageNemesis] = None
-        self.profile = profile_by_name(config.profile)
-        self.collector = MetricsCollector()
+    def __init__(self, cluster):
+        self._cluster = cluster
+        self.partitioner = Partitioner.for_population(
+            cluster.config.shards, cluster.population_params)
 
-        scale = config.scale
-        self.population_params = PopulationParams(
-            num_items=config.num_items, num_ebs=config.num_ebs,
-            entity_scale=scale.entity_scale, seed=config.seed)
-        self._population_blob = pickle.dumps(populate(self.population_params))
-        self._size_multiplier = (self.population_params.size_multiplier
-                                 / scale.time_div)
-        self.partitioner = Partitioner.for_population(config.shards,
-                                                      self.population_params)
-
-        # --- nodes: every group's replicas, then proxy, then clients ----
-        self.recoveries: List[dict] = []   # shared log, entries shard-tagged
-        self.groups: List[ReplicaGroup] = [
-            ReplicaGroup(self.sim, self.network, config,
-                         self.seed.fork(f"shard{g}"),
-                         self._population_blob, self._size_multiplier,
-                         name_prefix=f"s{g}.", shard=g,
-                         database_factory=self._make_database,
-                         recoveries=self.recoveries)
-            for g in range(config.shards)]
-        self._group_names: List[List[str]] = [group.replica_names
-                                              for group in self.groups]
-        self.replica_nodes: List[Node] = [node for group in self.groups
-                                          for node in group.replica_nodes]
-        self.proxy_node = Node(self.sim, self.network, "proxy",
-                               cpu_speed=1.0 / scale.load_div)
-        self.client_nodes: List[Node] = [
-            Node(self.sim, self.network, f"client{i}")
-            for i in range(config.client_nodes)]
-
-        # --- replica software (all groups exist: coordinators can see
-        # every group's member list) -----------------------------------
-        for group in self.groups:
-            group.boot_all()
-
-        # --- router ----------------------------------------------------
-        self.proxy = ShardRouter(self.proxy_node, self._group_names,
-                                 self.partitioner, config.proxy_params())
-        self.proxy.start()
-
-        # --- geo-replication (repro.geo) --------------------------------
-        # Same placement for every group: shard g's replica i sits in the
-        # same DC as shard h's replica i, so one DC outage hits the same
-        # quorum slot everywhere.
-        self.geo_state: Optional[GeoState] = None
-        if config.geo is not None:
-            self.geo_state = GeoState(
-                config.geo,
-                [[((g, i), name) for i, name in enumerate(names)]
-                 for g, names in enumerate(self._group_names)],
-                [self.proxy_node.name]
-                + [node.name for node in self.client_nodes])
-            self.network.set_geo(self.geo_state.model)
-            self.proxy.set_backend_dcs(self.geo_state.replica_dc_of)
-            if self.recorder is not None:
-                self.recorder.record("geo.placement", None,
-                                     **self.geo_state.replica_dc_of)
-
-        # --- watchdogs (per group) -------------------------------------
-        for group in self.groups:
-            group.start_watchdogs()
-
-        # --- load tier (closed-loop RBE fleet or open-loop arrivals) ----
-        self.rbes: List[RemoteBrowserEmulator]
-        self.load_sources: List
-        self.rbes, self.load_sources = build_load(
-            self.client_nodes, self.proxy_node.name, self.profile,
-            self.collector, self.seed, config)
-
-        # --- deployment-wide nemesis schedule --------------------------
-        if config.nemesis_spec:
-            self._arm_config_nemesis(config.nemesis_spec)
-
-        # --- observability ---------------------------------------------
-        if self.metrics is not None:
-            self._register_gauges()
-            self.sampler.start()
-
-        # --- SLO engine (repro.obs.slo), judging the merged collector --
-        self.slo_engine: Optional[SloEngine] = None
-        if config.slo_spec is not None:
-            self.slo_engine = SloEngine(
-                self.sim, self.collector, config.slo_spec,
-                scale=config.scale, recorder=self.recorder,
-                warmup_until=config.scale.measure_start)
-            self.slo_engine.start()
-
-    # ------------------------------------------------------------------
-    # per-replica software (ReplicaGroup database_factory hook)
-    # ------------------------------------------------------------------
-    def _make_database(self, group: ReplicaGroup, index: int, node,
-                       runtime) -> ShardedTPCWDatabase:
+    def make_database(self, group, index: int, node,
+                      runtime) -> ShardedTPCWDatabase:
         """Build the shard-aware facade plus its 2PC endpoints for one
         replica (and re-build them on every reboot/incarnation)."""
+        cluster = self._cluster
+        config = cluster.config
         coordinator = TxnCoordinator(
-            node, group.shard, self._group_names,
-            timeout_s=self.config.txn_timeout_s,
-            max_retries=self.config.txn_max_retries)
+            node, group.shard, cluster.group_names,
+            timeout_s=config.txn_timeout_s,
+            max_retries=config.txn_max_retries)
         coordinator.start()
         TxnParticipant(
             node, runtime, group.shard,
-            group_names=self._group_names,
-            resolve_timeout_s=self.config.txn_timeout_s,
-            resolve_retries=self.config.txn_max_retries,
-            orphan_timeout_s=self.config.txn_orphan_timeout_s).start()
+            group_names=cluster.group_names,
+            resolve_timeout_s=config.txn_timeout_s,
+            resolve_retries=config.txn_max_retries,
+            orphan_timeout_s=config.txn_orphan_timeout_s).start()
         return ShardedTPCWDatabase(
-            runtime, clock=lambda: self.sim.now,
+            runtime, clock=lambda: cluster.sim.now,
             rng=group.seed.fork_random(f"db-{index}-{node.incarnation}"),
             partitioner=self.partitioner, shard=group.shard,
             coordinator=coordinator)
 
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def _register_gauges(self) -> None:
-        obs = self.metrics
-        network = self.network
-        obs.gauge("sim.net_inflight_messages",
-                  lambda: network.inflight_messages)
-        obs.gauge("sim.net_inflight_mb", lambda: network.inflight_mb)
-        nemesis = network.nemesis
-        if nemesis is not None:
-            obs.gauge("sim.nemesis_dropped", lambda: nemesis.dropped)
-            obs.gauge("sim.nemesis_duplicated", lambda: nemesis.duplicated)
-            obs.gauge("sim.nemesis_delayed", lambda: nemesis.delayed)
-        obs.gauge("sim.disk_queue_depth",
-                  lambda: sum(node.disk.queue_length
-                              for node in self.replica_nodes))
-        obs.gauge("paxos.live_replicas",
-                  lambda: float(len(self.live_replicas())))
-        obs.gauge("treplica.queue_depth", self._max_apply_backlog)
-        for g, group in enumerate(self.groups):
-            obs.gauge(f"shard.s{g}.live_replicas",
-                      lambda grp=group: float(len(grp.live_replicas())))
-            obs.gauge(f"shard.s{g}.queue_depth",
-                      lambda grp=group: grp.max_apply_backlog())
-        if self.geo_state is not None:
-            model = self.geo_state.model
-            obs.gauge("sim.net_wan_messages",
-                      lambda: float(model.wan_messages))
-            obs.gauge("sim.net_wan_mb", lambda: model.wan_mb)
-            for dc in self.geo_state.geo.topology.dcs:
-                targets = tuple(self.geo_state.replica_targets(dc))
-                obs.gauge(f"geo.{dc}.live_replicas",
-                          lambda tgts=targets: float(sum(
-                              1 for (g, i) in tgts
-                              if self.groups[g].replica_nodes[i].alive)))
-
-    def _max_apply_backlog(self) -> float:
-        return max(group.max_apply_backlog() for group in self.groups)
-
-    @property
-    def timeline(self):
-        return self.sampler.timeline if self.sampler is not None else None
-
-    # ------------------------------------------------------------------
-    # fault-injection interface (shard-qualified targets)
-    # ------------------------------------------------------------------
-    def _resolve(self, target: Target) -> Tuple[int, int]:
-        if isinstance(target, tuple):
-            shard, index = target
-        else:
-            shard, index = 0, target
-        if not 0 <= shard < len(self.groups):
-            raise ValueError(f"no such shard: {shard}")
-        if not 0 <= index < len(self._group_names[shard]):
-            raise ValueError(
-                f"shard {shard} has replicas 0.."
-                f"{len(self._group_names[shard]) - 1}, no replica {index}")
-        return shard, index
-
-    def _replica_name(self, target: Target) -> str:
-        shard, index = self._resolve(target)
-        return self._group_names[shard][index]
-
-    def live_replicas(self) -> List[Tuple[int, int]]:
-        return [(g, i) for g, group in enumerate(self.groups)
-                for i in group.live_replicas()]
-
-    def crash_replica(self, target: Target) -> None:
-        shard, index = self._resolve(target)
-        self.groups[shard].crash_replica(index)
-
-    def reboot_replica(self, target: Target) -> None:
-        shard, index = self._resolve(target)
-        self.groups[shard].reboot_replica(index)
-
-    def partition_replica(self, target: Target) -> None:
-        shard, index = self._resolve(target)
-        self.groups[shard].partition_replica(index)
-
-    def heal_replica(self, target: Target) -> None:
-        shard, index = self._resolve(target)
-        self.groups[shard].heal_replica(index)
-
-    def disable_watchdog(self, target: Target) -> None:
-        shard, index = self._resolve(target)
-        self.groups[shard].disable_watchdog(index)
-
-    def begin_slowdown(self, factor: float) -> None:
-        """Retrystorm trigger: every replica of every shard slows down."""
-        for group in self.groups:
-            group.begin_slowdown(factor)
-
-    def end_slowdown(self) -> None:
-        for group in self.groups:
-            group.end_slowdown()
-
-    def block_oneway(self, src: Target, dst: Target) -> None:
-        self.network.block_oneway(self._replica_name(src),
-                                  self._replica_name(dst))
-
-    def unblock_oneway(self, src: Target, dst: Target) -> None:
-        self.network.unblock_oneway(self._replica_name(src),
-                                    self._replica_name(dst))
-
-    def apply_nemesis(self, event: FaultEvent) -> None:
-        if event.kind == "drop":
-            params = NemesisParams(drop_p=event.p)
-        elif event.kind == "dup":
-            params = NemesisParams(duplicate_p=event.p)
-        elif event.kind == "delay":
-            kwargs = {"delay_p": event.p}
-            if event.delay_mean_s is not None:
-                kwargs["delay_mean_s"] = event.delay_mean_s
-            params = NemesisParams(**kwargs)
-        else:
-            raise ValueError(f"not a nemesis window kind: {event.kind!r}")
-        pairs = None
-        if event.replica is not None:
-            pairs = frozenset({(self._replica_name(event.src_target),
-                                self._replica_name(event.dst_target))})
-        end = event.until if event.until is not None else math.inf
-        self.network.nemesis.add_window(
-            NemesisWindow(event.at, end, params, pairs))
-
-    def _arm_config_nemesis(self, spec: str) -> None:
-        scale = self.config.scale
-        for event in Faultload.parse(spec, name="config-nemesis").events:
-            scaled = replace(
-                event, at=scale.t(event.at),
-                until=None if event.until is None else scale.t(event.until))
-            if scaled.kind in NEMESIS_KINDS:
-                self.apply_nemesis(scaled)
-            elif scaled.kind == ONEWAY_KIND:
-                self.sim.call_at(scaled.at, self.block_oneway,
-                                 scaled.src_target, scaled.dst_target)
-                if scaled.until is not None and not math.isinf(scaled.until):
-                    self.sim.call_at(scaled.until, self.unblock_oneway,
-                                     scaled.src_target, scaled.dst_target)
-            elif scaled.kind in STORAGE_KINDS:
-                self.apply_storage_fault(scaled)
-            else:
-                raise ValueError(
-                    f"nemesis_spec only takes message and storage faults "
-                    f"({', '.join(NEMESIS_KINDS)}, {ONEWAY_KIND}, "
-                    f"{', '.join(STORAGE_KINDS)}), got {scaled.kind!r}")
-
-    def _ensure_storage_nemesis(self) -> StorageNemesis:
-        if self.storage_nemesis is None:
-            self.storage_nemesis = StorageNemesis(self.sim, seed=self.seed)
-            for group in self.groups:
-                group.attach_storage_nemesis(self.storage_nemesis)
-            # The engine's accept audit trail (and nothing else) keys off
-            # this attribute; see PaxosEngine._vote.
-            self.sim.storage_faults = self.storage_nemesis
-        return self.storage_nemesis
-
-    def apply_storage_fault(self, event: FaultEvent) -> None:
-        """Install one storage-fault event (times already on the
-        compressed timeline) on the shared storage nemesis."""
-        nemesis = self._ensure_storage_nemesis()
-        shard, index = self._resolve(event.src_target)
-        disk_name = self.groups[shard].replica_nodes[index].disk.name
-        if event.kind == "corrupt":
-            nemesis.schedule_corruption(event.at, disk_name)
-            return
-        nemesis.add_window(StorageFault(
-            kind=event.kind, disk=disk_name, start=event.at,
-            end=event.until if event.until is not None else math.inf,
-            p=event.p if event.p is not None else 1.0,
-            slow_factor=event.factor if event.factor is not None else 4.0))
-
-    # ------------------------------------------------------------------
-    # DC-scoped faults (geo runs only)
-    # ------------------------------------------------------------------
-    def _geo(self) -> GeoState:
-        if self.geo_state is None:
-            raise RuntimeError(
-                "DC-scoped faults need a geo topology; configure one via "
-                "Experiment.geo(...) or the CLI --geo option")
-        return self.geo_state
-
-    def fail_dc(self, dc: str) -> int:
-        """Full DC outage across every shard: crash each replica housed
-        in ``dc`` with its watchdog disabled.  Returns the count taken
-        down."""
-        crashed = 0
-        for target in self._geo().replica_targets(dc):
-            self.disable_watchdog(target)
-            shard, index = self._resolve(target)
-            if self.groups[shard].replica_nodes[index].alive:
-                self.crash_replica(target)
-                crashed += 1
-        return crashed
-
-    def restore_dc(self, dc: str) -> None:
-        """Power restored: re-enable the DC's watchdogs (autonomous
-        revival, no intervention counted)."""
-        for target in self._geo().replica_targets(dc):
-            shard, index = self._resolve(target)
-            self.groups[shard].watchdogs[index].enabled = \
-                self.config.watchdog_enabled
-
-    def wan_partition(self, dc: str, peer_dcs) -> None:
-        for a, b in self._geo().cut_pairs(dc, peer_dcs):
-            self.network.block(a, b)
-
-    def heal_wan_partition(self, dc: str, peer_dcs) -> None:
-        for a, b in self._geo().cut_pairs(dc, peer_dcs):
-            self.network.unblock(a, b)
-
-    def wan_degrade(self, event: FaultEvent) -> None:
-        """Arm one windowed asymmetric WAN slowdown (times already on
-        the compressed timeline)."""
-        state = self._geo()
-        state.require_dc(event.dc)
-        state.require_dc(event.to_dc)
-        state.model.add_degrade(DegradeWindow(
-            start=event.at,
-            end=event.until if event.until is not None else math.inf,
-            src_dc=event.dc, dst_dc=event.to_dc,
-            factor=event.factor if event.factor is not None else 4.0))
-
-    # ------------------------------------------------------------------
-    # run auditing
-    # ------------------------------------------------------------------
-    def nemesis_stats(self) -> NemesisStats:
-        return NemesisStats.from_network(self.network)
-
-    def storage_stats(self) -> Optional[dict]:
-        """Injection counters (None when no storage fault was configured)."""
-        if self.storage_nemesis is None:
-            return None
-        return dict(self.storage_nemesis.counters)
-
-    def breaker_trips(self) -> int:
-        """Watchdogs (across every group) that gave up on a crash-looping
-        replica; each trip counts against autonomy like a manual reboot."""
-        return sum(1 for group in self.groups
-                   for watchdog in group.watchdogs if watchdog.tripped)
-
-    def safety_checker(self) -> SafetyChecker:
-        tracer = getattr(self.sim, "tracer", None)
-        if tracer is None:
-            raise RuntimeError(
-                "safety auditing needs ClusterConfig(safety_tracing=True)")
-        return SafetyChecker(tracer)
-
-    # ------------------------------------------------------------------
-    def run(self, seconds: float) -> None:
-        self.sim.run(until=self.sim.now + seconds)
-        self._finish_observation()
-
-    def run_until(self, when: float) -> None:
-        self.sim.run(until=when)
-        self._finish_observation()
-
-    def _finish_observation(self) -> None:
-        """Flush the trailing partial sampler tick and give the SLO
-        engine a final look at the stop instant (both no-ops when a
-        tick landed exactly here)."""
-        if self.sampler is not None:
-            self.sampler.flush()
-        if self.slo_engine is not None:
-            self.slo_engine.finalize(self.sim.now)
+    def make_router(self) -> ShardRouter:
+        cluster = self._cluster
+        return ShardRouter(cluster.proxy_node, cluster.group_names,
+                           self.partitioner, cluster.config.proxy_params())

@@ -497,3 +497,27 @@ def test_run_obs_bench_report_shape():
     assert on["completed"] == off["completed"]
     assert on["recorded_events"] > 0
     assert "overhead_pct" in report
+
+
+# ----------------------------------------------------------------------
+# input rejected before the first simulated event
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("argv", [
+    ["run", "--replicas", "3", "--faultload", "crash@240:7"],
+    ["run", "--replicas", "3", "--shards", "2",
+     "--nemesis", "oneway@60-120:0.5>0.1"],
+    ["trace", "--replicas", "3", "--faultload", "dcfail@240-300:dc1"],
+    ["postmortem", "--replicas", "3", "--shards", "2",
+     "--faultload", "crash@240:1.5"],
+], ids=["replica-out-of-range", "sharded-nemesis-replica-out-of-range",
+        "dcfail-without-geo", "postmortem-shard-replica-out-of-range"])
+def test_bad_experiment_input_exits_2_before_simulating(argv, capsys,
+                                                        monkeypatch):
+    from repro.sim import Simulator
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(Simulator, "run", refuse)
+    assert main([*argv, "--scale", "tiny"]) == 2
+    assert "error: " in capsys.readouterr().err

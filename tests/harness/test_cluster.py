@@ -15,7 +15,7 @@ def test_cluster_builds_figure2_topology():
     assert len(cluster.client_nodes) == 5
     assert cluster.proxy_node.name == "proxy"
     assert len(cluster.rbes) == config.num_rbes
-    assert len(cluster.watchdogs) == 5
+    assert len(cluster.groups[0].watchdogs) == 5
 
 
 def test_rbe_count_follows_offered_load():
@@ -52,9 +52,9 @@ def test_replica_states_converge_after_run():
     config = tiny_config()
     cluster = RobustStoreCluster(config)
     cluster.run_until(config.scale.total_s)
-    orders = {len(rt.app.state.orders) for rt in cluster.runtimes if rt}
+    orders = {len(rt.app.state.orders) for rt in cluster.groups[0].runtimes if rt}
     assert len(orders) == 1, "replicas ended with different order counts"
-    for runtime in cluster.runtimes:
+    for runtime in cluster.groups[0].runtimes:
         if runtime is not None:
             runtime.app.state.check_invariants()
 

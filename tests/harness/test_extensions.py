@@ -49,5 +49,5 @@ def test_partitioned_replica_state_converges_after_heal():
     injector.arm()
     cluster.run_until(scale.total_s)
     orders = {i: len(rt.app.state.orders)
-              for i, rt in enumerate(cluster.runtimes) if rt}
+              for i, rt in enumerate(cluster.groups[0].runtimes) if rt}
     assert len(set(orders.values())) == 1, orders

@@ -16,7 +16,7 @@ def test_twelve_replicas_serve_and_converge():
                                      config.scale.measure_end)
     assert stats.completed > 100
     assert stats.errors == 0
-    orders = {len(rt.app.state.orders) for rt in cluster.runtimes if rt}
+    orders = {len(rt.app.state.orders) for rt in cluster.groups[0].runtimes if rt}
     assert len(orders) == 1
 
 
@@ -24,7 +24,7 @@ def test_twelve_replicas_fast_quorum_arithmetic():
     config = tiny_config(replicas=12, offered_wips=600.0, seed=5)
     cluster = RobustStoreCluster(config)
     cluster.run(2.0)
-    engine = cluster.runtimes[0].engine
+    engine = cluster.groups[0].runtimes[0].engine
     assert engine.fq == 9   # ceil(3*12/4)
     assert engine.cq == 7   # floor(12/2)+1
     assert engine.mode == "fast"

@@ -73,9 +73,9 @@ def test_crash_during_cross_shard_load_stays_safe():
 
 
 def test_sharded_cluster_rejects_tuple_out_of_range():
-    from repro.shard.cluster import ShardedCluster
+    from repro.harness.cluster import RobustStoreCluster
     from tests.harness.helpers import tiny_config
-    cluster = ShardedCluster(tiny_config(replicas=3, offered_wips=200.0,
-                                         shards=2))
+    cluster = RobustStoreCluster(tiny_config(replicas=3, offered_wips=200.0,
+                                             shards=2))
     with pytest.raises(ValueError):
         cluster.crash_replica((5, 0))
